@@ -193,3 +193,88 @@ func BenchmarkToyBlockMinSpec(b *testing.B) { benchBuildset(b, "block_min_spec",
 func BenchmarkToyOneMinInterp(b *testing.B) {
 	benchBuildset(b, "one_min", Options{NoTranslate: true})
 }
+
+// BenchmarkNewExecFirstRun measures the per-job cost of the engine: bind a
+// fresh Exec to a machine and run its first 1000 instructions on a warm
+// Sim. With -benchmem it shows what each new Exec allocates (first-level
+// tables, record values, journal chunks).
+func BenchmarkNewExecFirstRun(b *testing.B) {
+	for _, bs := range []string{"one_all", "one_all_spec", "step_all", "block_min"} {
+		b.Run(bs, func(b *testing.B) {
+			spec, err := lis.Parse("toy.lis", toySrc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := Synthesize(spec, bs, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := benchMachine(spec, 1<<62)
+			s.NewExec(m).Run(1000) // warm the shared cache and the data page
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				m.PC = codeBase
+				m.Journal.Reset()
+				if got := s.NewExec(m).Run(1000); got < 1000 {
+					b.Fatalf("ran %d instructions", got)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkJournalAppend measures one journaled register write, the
+// speculation cost every instruction of a speculative buildset pays per
+// architectural write. The journal is committed every 64K entries, as a
+// speculative driver would, so chunks are recycled rather than allocated.
+func BenchmarkJournalAppend(b *testing.B) {
+	spec, err := lis.Parse("toy.lis", toySrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := spec.NewMachine()
+	m.JournalOn = true
+	r := m.MustSpace("r")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		m.WriteReg(r, n&7, uint64(n))
+		if m.Journal.Len() == 1<<16 {
+			m.Journal.Commit(m.Journal.Mark())
+		}
+	}
+}
+
+// BenchmarkStepCallImportPublish measures the Step interface's per-call
+// record traffic: one entrypoint with no work for the instruction (the
+// memory step of an ADD), so the call is the import of the record into the
+// frame plus the publish back out.
+func BenchmarkStepCallImportPublish(b *testing.B) {
+	spec, err := lis.Parse("toy.lis", toySrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := Synthesize(spec, "step_all", Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ep := -1
+	for i, e := range s.BS.Entrypoints {
+		if e.Name == "ep_memory" {
+			ep = i
+		}
+	}
+	m := loadProgram(spec, benchProgram())
+	x := s.NewExec(m)
+	var rec Record
+	rec.PC = m.PC
+	for i := 0; i < ep; i++ {
+		x.StepCall(i, &rec)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		x.StepCall(ep, &rec)
+	}
+}

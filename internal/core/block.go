@@ -43,10 +43,10 @@ func (x *Exec) ExecBlock(batch *Batch) bool {
 	t := &x.btab
 	if last := x.lastB; last >= 0 {
 		ls := &t.slots[last]
-		if ls.stamp == t.stamp && ls.next != nil && ls.nextPC == pc &&
+		if ls.stamp == t.stamp && ls.next != nil && ls.next.startPC == pc &&
 			ls.nextEpoch == m.Mem.CodeGen() {
 			blk = ls.next
-			slot = int32(ls.nextSlot)
+			slot = int32(t.idx(pc))
 			x.stats.BlockChainFollows++
 		}
 	}
@@ -73,15 +73,14 @@ func (x *Exec) ExecBlock(batch *Batch) bool {
 		// epoch blk was just validated under; a follow re-checks it, so a
 		// link can never outlive the code it points at. A stale slot (its
 		// block was evicted since) still gets the link: follow validity is
-		// self-contained in (nextPC, nextEpoch, stamp), independent of
-		// which block the slot currently caches.
+		// self-contained in (next, nextEpoch, stamp), independent of
+		// which block the slot currently caches. transBlock drops lastB
+		// when it grows the table, so last always indexes the live table.
 		if last := x.lastB; last >= 0 {
 			ls := &t.slots[last]
 			if ls.stamp == t.stamp {
 				ls.next = blk
-				ls.nextPC = pc
 				ls.nextEpoch = m.Mem.CodeGen()
-				ls.nextSlot = uint32(slot)
 				x.stats.BlockChainLinks++
 			}
 		}
@@ -197,7 +196,13 @@ func (x *Exec) transBlock(pc uint64) (*xblock, int32) {
 	// Mark the block's (single) page as code before capturing generation
 	// and epoch: every later store to it must advance both.
 	mem.MarkCode(pc)
+	fill := s.stamp != t.stamp
 	*s = bslot{pc: pc, gen: mem.Gen(pc), epoch: mem.CodeGen(), stamp: t.stamp, b: blk}
+	if fill && t.fill(len(t.slots)) {
+		t.grow()
+		x.lastB = -1
+		i = t.idx(pc)
+	}
 	return blk, int32(i)
 }
 

@@ -36,7 +36,11 @@ type Sim struct {
 	Warnings []string
 	Opts     Options
 
-	fslot       []int // field index -> frame slot (-1 for builtins)
+	// fslot maps a field index to its frame slot (-1 for builtins). The
+	// nPub buildset-visible fields hold slots [0, nPub) in Layout order, so
+	// a record's Vals are exactly the frame prefix; hidden fields follow.
+	fslot       []int
+	nPub        int
 	frameFields int
 	frameSize   int
 
@@ -47,8 +51,6 @@ type Sim struct {
 	genUnits  []*unit
 	faultUnit *unit // ALL-actions-only unit for pre-decode faults
 
-	// pubFr[i] is the frame slot published to Record.Vals[i].
-	pubFr   []int
 	pubWork uint32
 
 	epOf      []int // step -> entrypoint ordinal
@@ -142,25 +144,26 @@ func Synthesize(spec *lis.Spec, buildset string, opts Options) (s *Sim, err erro
 		instrSize: uint64(spec.InstrSize),
 		shared:    newSharedCache(opts.CacheCap),
 	}
-	// Frame plan: every non-builtin field gets a private slot.
+	// Frame plan: every non-builtin field gets a private slot, visible
+	// fields first in Layout order (the publish prefix), then hidden ones.
 	s.fslot = make([]int, len(spec.Fields))
-	for i, f := range spec.Fields {
-		if f.Builtin {
-			s.fslot[i] = -1
-			continue
-		}
-		s.fslot[i] = s.frameFields
+	for i := range s.fslot {
+		s.fslot[i] = -1
+	}
+	for _, f := range s.Layout.fields {
+		s.fslot[f.Index] = s.frameFields
 		s.frameFields++
 	}
-	s.frameSize = s.frameFields + maxLets(spec)
-
-	// Publish plan.
-	for _, name := range s.Layout.FieldNames() {
-		f := spec.Field(name)
-		s.pubFr = append(s.pubFr, s.fslot[f.Index])
+	s.nPub = s.frameFields
+	for i, f := range spec.Fields {
+		if !f.Builtin && s.fslot[i] < 0 {
+			s.fslot[i] = s.frameFields
+			s.frameFields++
+		}
 	}
-	s.pubWork = uint32(len(s.pubFr)) + 4
-	s.emitRecs = s.Layout.NumSlots() > 0 || opts.ForceRecords
+	s.frameSize = s.frameFields + maxLets(spec)
+	s.pubWork = uint32(s.nPub) + 4
+	s.emitRecs = s.nPub > 0 || opts.ForceRecords
 
 	// Entrypoint maps.
 	s.epOf = make([]int, len(spec.Steps))
@@ -583,10 +586,10 @@ func (x *Exec) Work() uint64 { return x.work }
 //
 // The flush is O(1) and allocation-free: bumping the table stamps
 // invalidates every slot (including all chain links, which live in block
-// slots) without touching the slot storage.
+// slots) without touching the slot storage. The tables keep their size.
 func (x *Exec) FlushLocal() {
-	x.utab.stamp++
-	x.btab.stamp++
+	x.utab.flush()
+	x.btab.flush()
 	x.lastB = -1
 	if x.utab.slots != nil {
 		x.stats.UnitL1Flushes++
@@ -619,8 +622,9 @@ func (x *Exec) runSegs(u *unit, lo, hi int32) {
 }
 
 // publish copies the working state into the record: the fixed header plus
-// the buildset-visible fields. Its cost scales with informational detail —
-// the "many additional stores" of the paper's §V-E analysis.
+// the buildset-visible fields, which are the frame's first nPub slots. Its
+// cost scales with informational detail — the "many additional stores" of
+// the paper's §V-E analysis.
 func (x *Exec) publish(rec *Record) {
 	rec.Ctx = x.M.CtxID
 	rec.PC = x.pc
@@ -630,36 +634,33 @@ func (x *Exec) publish(rec *Record) {
 	rec.InstrID = x.instrID
 	rec.Fault = x.fault
 	rec.Nullified = x.nullify
-	pub := x.sim.pubFr
-	if len(pub) == 0 {
-		// Min-visibility buildsets publish only the fixed header; skip the
-		// value loop (and any Vals storage management) entirely.
+	x.work += uint64(x.sim.pubWork)
+	n := x.sim.nPub
+	if n == 0 {
+		// Min-visibility buildsets publish only the fixed header; skip
+		// any Vals storage management entirely.
 		rec.Vals = rec.Vals[:0]
-		x.work += uint64(x.sim.pubWork)
 		return
 	}
-	if cap(rec.Vals) < len(pub) {
-		rec.Vals = x.arenaVals(len(pub))
+	if cap(rec.Vals) < n {
+		rec.Vals = x.arenaVals(n)
 	} else {
-		rec.Vals = rec.Vals[:len(pub)]
+		rec.Vals = rec.Vals[:n]
 	}
-	for i, fs := range pub {
-		rec.Vals[i] = x.fr[fs]
-	}
-	x.work += uint64(x.sim.pubWork)
+	copy(rec.Vals, x.fr[:n])
 }
 
 // arenaVals carves an n-slot value buffer out of the Exec's arena, so
 // records that must grow their Vals do not pay one allocation each. The
 // returned slice is full-length and capacity-clipped: appends by a consumer
-// can never bleed into a neighbouring record's values.
+// can never bleed into a neighbouring record's values. Chunks start small
+// and double up to arenaMax values, so an Exec that publishes into one
+// reused record (the One and Step interfaces) allocates a few hundred
+// values, not a full chunk.
 func (x *Exec) arenaVals(n int) []uint64 {
-	const arenaChunk = 4096
+	const arenaMin, arenaMax = 256, 4096
 	if len(x.varena)+n > cap(x.varena) {
-		c := arenaChunk
-		if n > c {
-			c = n
-		}
+		c := max(min(2*cap(x.varena), arenaMax), arenaMin, n)
 		x.varena = make([]uint64, 0, c)
 	}
 	lo := len(x.varena)
@@ -670,7 +671,9 @@ func (x *Exec) arenaVals(n int) []uint64 {
 // importRec loads the working state from a record at a Step-interface call
 // boundary; the timing simulator may have modified any visible value in
 // between (that is the point of high semantic detail). Hidden frame storage
-// does not survive across entrypoints.
+// does not survive across entrypoints: everything past the visible prefix
+// is zeroed, as is the whole frame when the record does not match the
+// layout.
 func (x *Exec) importRec(rec *Record) {
 	x.pc = rec.PC
 	x.physPC = rec.PhysPC
@@ -679,14 +682,12 @@ func (x *Exec) importRec(rec *Record) {
 	x.instrID = rec.InstrID
 	x.fault = rec.Fault
 	x.nullify = rec.Nullified
-	for i := range x.fr {
-		x.fr[i] = 0
-	}
-	pub := x.sim.pubFr
-	if len(rec.Vals) == len(pub) {
-		for i, fs := range pub {
-			x.fr[fs] = rec.Vals[i]
-		}
+	n := x.sim.nPub
+	if len(rec.Vals) == n {
+		copy(x.fr, rec.Vals)
+		clear(x.fr[n:])
+	} else {
+		clear(x.fr)
 	}
 	x.work += uint64(x.sim.pubWork)
 }
@@ -883,7 +884,11 @@ func (x *Exec) transUnit(pc uint64) *unit {
 	// Mark pc's page as code BEFORE capturing the epoch, so every later
 	// store to it is guaranteed to advance the epoch this slot records.
 	mem.MarkCode(pc)
+	fill := s.stamp != t.stamp
 	*s = uslot{pc: pc, gen: gen, epoch: mem.CodeGen(), stamp: t.stamp, u: u}
+	if fill && t.fill(len(t.slots)) {
+		t.grow()
+	}
 	return u
 }
 
@@ -913,9 +918,7 @@ func (x *Exec) StepCall(ep int, rec *Record) {
 	s := x.sim
 	if ep == 0 {
 		x.initInstr(rec.PC)
-		for i := range x.fr {
-			x.fr[i] = 0
-		}
+		clear(x.fr)
 	} else {
 		x.importRec(rec)
 	}

@@ -394,7 +394,7 @@ func TestJournalCommitAfterPartialRollback(t *testing.T) {
 
 // TestJournalResetShrinksOversizedBuffer is the regression test for the
 // Reset capacity bound: a speculative burst past journalShrinkCap must not
-// leave its peak-size backing array live for the rest of a long run, while
+// leave its peak-size chunks live for the rest of a long run, while
 // modest journals keep their storage.
 func TestJournalResetShrinksOversizedBuffer(t *testing.T) {
 	m := NewMachine(NewMemory(LittleEndian), testDefs())
@@ -406,20 +406,20 @@ func TestJournalResetShrinksOversizedBuffer(t *testing.T) {
 		m.WriteReg(r, 1, uint64(i))
 	}
 	m.Journal.Reset()
-	if c := cap(m.Journal.entries); c == 0 {
-		t.Fatal("modest journal lost its backing array on Reset")
+	if c := m.Journal.capacity(); c == 0 {
+		t.Fatal("modest journal lost its storage on Reset")
 	}
 
 	// Oversized burst: Reset must release the array.
 	for i := 0; i <= journalShrinkCap; i++ {
 		m.WriteReg(r, 1, uint64(i))
 	}
-	if c := cap(m.Journal.entries); c <= journalShrinkCap {
+	if c := m.Journal.capacity(); c <= journalShrinkCap {
 		t.Fatalf("burst did not exceed shrink cap: cap %d", c)
 	}
 	m.Journal.Reset()
-	if c := cap(m.Journal.entries); c > journalShrinkCap {
-		t.Errorf("Reset retained oversized buffer: cap %d > %d", c, journalShrinkCap)
+	if c := m.Journal.capacity(); c > journalShrinkCap {
+		t.Errorf("Reset retained oversized storage: cap %d > %d", c, journalShrinkCap)
 	}
 	// The journal must still work after shrinking.
 	mark := m.Journal.Mark()

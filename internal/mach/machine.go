@@ -15,6 +15,8 @@ type SpaceDef struct {
 type Space struct {
 	Def  SpaceDef
 	Vals []uint64
+
+	index uint16 // position in Machine.Spaces, named by journal entries
 }
 
 // Read returns the value of register i (the hardwired zero register always
@@ -76,8 +78,8 @@ type Machine struct {
 // NewMachine builds a machine with the given register spaces over mem.
 func NewMachine(mem *Memory, defs []SpaceDef) *Machine {
 	m := &Machine{Mem: mem, byName: make(map[string]*Space, len(defs))}
-	for _, d := range defs {
-		s := &Space{Def: d, Vals: make([]uint64, d.Count)}
+	for i, d := range defs {
+		s := &Space{Def: d, Vals: make([]uint64, d.Count), index: uint16(i)}
 		m.Spaces = append(m.Spaces, s)
 		m.byName[d.Name] = s
 	}
@@ -152,7 +154,7 @@ func (m *Machine) WriteReg(s *Space, idx int, val uint64) {
 		return
 	}
 	if m.JournalOn {
-		m.Journal.logReg(s, idx, s.Vals[idx])
+		m.Journal.logReg(s, idx)
 	}
 	s.Vals[idx] = val
 }
