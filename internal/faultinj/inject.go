@@ -87,16 +87,6 @@ func (r *runState) step() (core.Record, bool) {
 	return rec, ok
 }
 
-// spaceNames lists the machine's register-space names for divergence
-// reports.
-func (r *runState) spaceNames() []string {
-	names := make([]string, len(r.m.Spaces))
-	for i, s := range r.m.Spaces {
-		names[i] = s.Def.Name
-	}
-	return names
-}
-
 // pickEvents chooses `want` distinct injection points (in retired-
 // instruction units) strictly inside a run of total length, sorted
 // ascending. Short runs yield fewer events.
@@ -146,7 +136,7 @@ func finalCompare(got, ref *runState) *Divergence {
 	if got.m.Instret != ref.m.Instret {
 		return div(fmt.Sprintf("instret: ref %d vs got %d", ref.m.Instret, got.m.Instret))
 	}
-	if ok, detail := ref.m.Snapshot().Equal(got.m.Snapshot(), ref.spaceNames()); !ok {
+	if ok, detail := ref.m.RegsEqual(got.m); !ok {
 		return div("register " + detail)
 	}
 	if !bytes.Equal(got.emu.Stdout.Bytes(), ref.emu.Stdout.Bytes()) {

@@ -317,6 +317,63 @@ func TestSnapshotRestoreAndEqual(t *testing.T) {
 	}
 }
 
+// TestRegsEqualMatchesSnapshotEqual checks the in-place comparison against
+// Snapshot.Equal on the same pair of states: same verdict, same
+// first-difference message, for a PC difference and for a difference in
+// each register space.
+func TestRegsEqualMatchesSnapshotEqual(t *testing.T) {
+	names := []string{"r", "c"}
+	cases := []struct {
+		name   string
+		mutate func(m *Machine)
+	}{
+		{"equal", func(m *Machine) {}},
+		{"pc", func(m *Machine) { m.PC++ }},
+		{"r", func(m *Machine) { m.MustSpace("r").Vals[7] ^= 4 }},
+		{"c", func(m *Machine) { m.MustSpace("c").Vals[3] = 9 }},
+		{"first of two", func(m *Machine) {
+			m.MustSpace("c").Vals[0] = 1
+			m.MustSpace("r").Vals[30] = 2
+		}},
+	}
+	for _, tc := range cases {
+		a := NewMachine(NewMemory(LittleEndian), testDefs())
+		b := NewMachine(NewMemory(LittleEndian), testDefs())
+		for _, m := range []*Machine{a, b} {
+			m.PC = 0x400
+			m.MustSpace("r").Vals[5] = 55
+		}
+		tc.mutate(b)
+		wantOK, wantMsg := a.Snapshot().Equal(b.Snapshot(), names)
+		gotOK, gotMsg := a.RegsEqual(b)
+		if gotOK != wantOK || gotMsg != wantMsg {
+			t.Errorf("%s: RegsEqual = %v %q, Snapshot.Equal = %v %q", tc.name, gotOK, gotMsg, wantOK, wantMsg)
+		}
+		if tc.name != "equal" && gotOK {
+			t.Errorf("%s: distinct states compared equal", tc.name)
+		}
+		a.CopyRegs(b)
+		if ok, diff := a.RegsEqual(b); !ok {
+			t.Errorf("%s: state differs after CopyRegs: %s", tc.name, diff)
+		}
+	}
+}
+
+func TestRegsEqualAndCopyRegsDoNotAllocate(t *testing.T) {
+	a := NewMachine(NewMemory(LittleEndian), testDefs())
+	b := NewMachine(NewMemory(LittleEndian), testDefs())
+	b.MustSpace("r").Vals[3] = 3
+	allocs := testing.AllocsPerRun(100, func() {
+		a.CopyRegs(b)
+		if ok, _ := a.RegsEqual(b); !ok {
+			panic("copied state differs")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("CopyRegs+RegsEqual allocated %.1f times per run", allocs)
+	}
+}
+
 func TestLoadHookOverride(t *testing.T) {
 	m := NewMachine(NewMemory(LittleEndian), testDefs())
 	m.Mem.Store(0x50000, 7, 8)

@@ -194,17 +194,50 @@ func (m *Machine) Restore(sn Snapshot) {
 // Equal reports whether two snapshots are architecturally identical and, if
 // not, a description of the first difference.
 func (sn Snapshot) Equal(o Snapshot, names []string) (bool, string) {
-	if sn.PC != o.PC {
-		return false, fmt.Sprintf("pc: %#x vs %#x", sn.PC, o.PC)
+	return diffRegs(sn.PC, o.PC, len(sn.Spaces),
+		func(i int) ([]uint64, []uint64) { return sn.Spaces[i], o.Spaces[i] },
+		func(i int) string {
+			if i < len(names) {
+				return names[i]
+			}
+			return fmt.Sprintf("space%d", i)
+		})
+}
+
+// RegsEqual compares the architectural register state of m and o — the PC
+// and every register space — in place. It checks exactly what
+// Snapshot.Equal checks on their snapshots, without copying or allocating
+// while they agree; the first difference is described with the spaces'
+// definition names. Both machines must come from the same spec.
+func (m *Machine) RegsEqual(o *Machine) (bool, string) {
+	return diffRegs(m.PC, o.PC, len(m.Spaces),
+		func(i int) ([]uint64, []uint64) { return m.Spaces[i].Vals, o.Spaces[i].Vals },
+		func(i int) string { return m.Spaces[i].Def.Name })
+}
+
+// CopyRegs overwrites m's architectural register state (PC and every
+// register space, not memory) with src's, in place: Restore from a machine
+// rather than a snapshot. Both machines must come from the same spec.
+func (m *Machine) CopyRegs(src *Machine) {
+	m.PC = src.PC
+	for i, s := range m.Spaces {
+		copy(s.Vals, src.Spaces[i].Vals)
 	}
-	for i := range sn.Spaces {
-		for j := range sn.Spaces[i] {
-			if sn.Spaces[i][j] != o.Spaces[i][j] {
-				name := fmt.Sprintf("space%d", i)
-				if i < len(names) {
-					name = names[i]
-				}
-				return false, fmt.Sprintf("%s[%d]: %#x vs %#x", name, j, sn.Spaces[i][j], o.Spaces[i][j])
+}
+
+// diffRegs is the one register-state comparison behind Snapshot.Equal and
+// Machine.RegsEqual: two PCs, then n register spaces fetched pairwise by
+// vals, stopping at the first difference, which it describes using name for
+// the space.
+func diffRegs(pcA, pcB uint64, n int, vals func(i int) (a, b []uint64), name func(i int) string) (bool, string) {
+	if pcA != pcB {
+		return false, fmt.Sprintf("pc: %#x vs %#x", pcA, pcB)
+	}
+	for i := 0; i < n; i++ {
+		a, b := vals(i)
+		for j := range a {
+			if a[j] != b[j] {
+				return false, fmt.Sprintf("%s[%d]: %#x vs %#x", name(i), j, a[j], b[j])
 			}
 		}
 	}

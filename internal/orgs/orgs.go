@@ -10,10 +10,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
 	"singlespec/internal/asm"
 	"singlespec/internal/core"
 	"singlespec/internal/isa"
+	"singlespec/internal/lis"
 	"singlespec/internal/mach"
 	"singlespec/internal/sysemu"
 	"singlespec/internal/timing/bpred"
@@ -170,13 +172,15 @@ func RunBlockFunctionalFirst(i *isa.ISA, prog *asm.Program, budget uint64) (*Res
 	return r, nil
 }
 
-// stepDriver resolves the Step-interface slots a timing-directed model
-// reads from the record between calls.
+// stepDriver resolves, once, the Step-interface entrypoints a
+// timing-directed model calls and the slots it reads from the record
+// between calls.
 type stepDriver struct {
-	sim                                        *core.Sim
-	x                                          *core.Exec
-	eps                                        map[string]int
-	class, src1, src2, dest, ea, taken, target int
+	sim *core.Sim
+	x   *core.Exec
+	// Entrypoint indices of the seven Step calls, in call order.
+	fetch, decode, opread, execute, memory, writeback, exception int
+	class, src1, src2, dest, ea, taken, target                   int
 }
 
 func newStepDriver(i *isa.ISA, m *mach.Machine, buildset string) (*stepDriver, error) {
@@ -184,9 +188,19 @@ func newStepDriver(i *isa.ISA, m *mach.Machine, buildset string) (*stepDriver, e
 	if err != nil {
 		return nil, err
 	}
-	d := &stepDriver{sim: sim, x: sim.NewExec(m), eps: map[string]int{}}
-	for idx, ep := range sim.BS.Entrypoints {
-		d.eps[ep.Name] = idx
+	d := &stepDriver{sim: sim, x: sim.NewExec(m)}
+	for _, ep := range []struct {
+		name string
+		idx  *int
+	}{
+		{"ep_fetch", &d.fetch}, {"ep_decode", &d.decode}, {"ep_opread", &d.opread},
+		{"ep_execute", &d.execute}, {"ep_memory", &d.memory},
+		{"ep_writeback", &d.writeback}, {"ep_exception", &d.exception},
+	} {
+		*ep.idx = slices.IndexFunc(sim.BS.Entrypoints, func(e *lis.Entrypoint) bool { return e.Name == ep.name })
+		if *ep.idx < 0 {
+			return nil, fmt.Errorf("orgs: buildset %s lacks Step entrypoint %s", buildset, ep.name)
+		}
 	}
 	slot := func(name string) int {
 		s, ok := sim.Layout.Slot(name)
@@ -245,8 +259,8 @@ func RunTimingDirected(i *isa.ISA, prog *asm.Program, budget uint64) (*Result, e
 		// simulator executes (redirect on rollback/misprediction would go
 		// here).
 		rec.PC = pc
-		d.x.StepCall(d.eps["ep_fetch"], &rec)
-		d.x.StepCall(d.eps["ep_decode"], &rec)
+		d.x.StepCall(d.fetch, &rec)
+		d.x.StepCall(d.decode, &rec)
 		info := ooo.InstrInfo{
 			PC:    rec.PC,
 			Class: int(d.val(&rec, d.class)),
@@ -254,15 +268,15 @@ func RunTimingDirected(i *isa.ISA, prog *asm.Program, budget uint64) (*Result, e
 			Src2:  d.idx(&rec, d.src2),
 			Dest:  d.idx(&rec, d.dest),
 		}
-		d.x.StepCall(d.eps["ep_opread"], &rec)
-		d.x.StepCall(d.eps["ep_execute"], &rec)
+		d.x.StepCall(d.opread, &rec)
+		d.x.StepCall(d.execute, &rec)
 		info.EA = d.val(&rec, d.ea)
 		info.Taken = d.val(&rec, d.taken) != 0
 		info.Target = d.val(&rec, d.target)
 		info.Nullify = rec.Nullified
-		d.x.StepCall(d.eps["ep_memory"], &rec)
-		d.x.StepCall(d.eps["ep_writeback"], &rec)
-		d.x.StepCall(d.eps["ep_exception"], &rec)
+		d.x.StepCall(d.memory, &rec)
+		d.x.StepCall(d.writeback, &rec)
+		d.x.StepCall(d.exception, &rec)
 		model.Advance(info)
 		if rec.Fault != mach.FaultNone {
 			break
@@ -307,10 +321,6 @@ func RunTimingFirst(i *isa.ISA, prog *asm.Program, budget uint64, bug BugFn) (*R
 	if err != nil {
 		return nil, err
 	}
-	spaceNames := make([]string, len(i.Spec.Spaces))
-	for si, sp := range i.Spec.Spaces {
-		spaceNames[si] = sp.Name
-	}
 	var recT, recC core.Record
 	r := &Result{Org: "timing-first"}
 	for seq := uint64(0); !eT.m.Halted && seq < budget; seq++ {
@@ -320,12 +330,11 @@ func RunTimingFirst(i *isa.ISA, prog *asm.Program, budget uint64, bug BugFn) (*R
 			bug(seq, eT.m, &recT)
 		}
 		xC.ExecOne(&recC)
-		snT, snC := eT.m.Snapshot(), eC.m.Snapshot()
-		if same, _ := snT.Equal(snC, spaceNames); !same {
+		if same, _ := eT.m.RegsEqual(eC.m); !same {
 			// Mismatch: flush the pipeline and reload architectural state
 			// from the functional simulator (TFsim-style recovery).
 			r.Mismatches++
-			eT.m.Restore(snC)
+			eT.m.CopyRegs(eC.m)
 			model.Stats.Cycles += uint64(pipeline.DefaultConfig().BranchPenalty * 3)
 		}
 		if !okT {
@@ -507,42 +516,23 @@ func RunSampled(i *isa.ISA, prog *asm.Program, budget, detailed, fastfwd uint64)
 	return r, nil
 }
 
+// spoolRecords is the trace-driven organization's segment length: how many
+// records the spool holds before they are replayed into the timing model.
+// It bounds the spool's memory; the timing model sees the same stream
+// whatever its value.
+const spoolRecords = 1024
+
 // RunTraceDriven is the classic trace-driven flavour of functional-first
 // (§II-B: "the instruction stream could even be written to storage and
 // then fed to the timing simulator or multiple timing simulators"): the
 // functional simulator writes the record stream through internal/trace,
-// and the timing model replays it from the serialized form.
+// and the timing model replays it from the serialized form. The stream is
+// spooled in segments of spoolRecords records through one reused buffer:
+// record a segment, replay it, repeat. The functional simulator never
+// reacts to the timing model, so interleaving the two phases this way is
+// indistinguishable from recording the whole stream first.
 func RunTraceDriven(i *isa.ISA, prog *asm.Program, budget uint64) (*Result, error) {
 	sim, err := core.Synthesize(i.Spec, "one_decode", core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	e := newEnv(i, prog)
-	x := sim.NewExec(e.m)
-
-	// Phase 1: record.
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, sim.Layout)
-	if err != nil {
-		return nil, err
-	}
-	var rec core.Record
-	for !e.m.Halted && e.m.Instret < budget {
-		ok := x.ExecOne(&rec)
-		if err := w.Write(&rec); err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: replay into the timing model (no functional simulator
-	// involved at all — the stream is self-contained).
-	rd, err := trace.NewReader(&buf)
 	if err != nil {
 		return nil, err
 	}
@@ -554,15 +544,53 @@ func RunTraceDriven(i *isa.ISA, prog *asm.Program, budget uint64) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	var replay core.Record
-	for {
-		if err := rd.Read(&replay); err != nil {
-			if err == io.EOF {
+	e := newEnv(i, prog)
+	x := sim.NewExec(e.m)
+
+	var spool bytes.Buffer
+	w, err := trace.NewWriter(&spool, sim.Layout)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	rd, err := trace.NewReader(&spool)
+	if err != nil {
+		return nil, err
+	}
+	var rec, replay core.Record
+	for more := true; more; {
+		// Record one segment.
+		for n := 0; n < spoolRecords; n++ {
+			if e.m.Halted || e.m.Instret >= budget {
+				more = false
 				break
 			}
+			ok := x.ExecOne(&rec)
+			if err := w.Write(&rec); err != nil {
+				return nil, err
+			}
+			if !ok {
+				more = false
+				break
+			}
+		}
+		if err := w.Flush(); err != nil {
 			return nil, err
 		}
-		model.Consume(&replay)
+		// Replay it into the timing model (no functional simulator
+		// involved — the stream is self-contained). Draining the spool
+		// empties it, so the next segment reuses its storage.
+		for {
+			if err := rd.Read(&replay); err != nil {
+				if err == io.EOF {
+					break
+				}
+				return nil, err
+			}
+			model.Consume(&replay)
+		}
 	}
 	r := &Result{Org: "trace-driven", Cycles: model.Stats.Cycles, Pipeline: model.Stats}
 	e.finish(r)

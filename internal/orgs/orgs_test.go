@@ -5,6 +5,7 @@ import (
 
 	"singlespec/internal/asm"
 	"singlespec/internal/core"
+	"singlespec/internal/expt"
 	"singlespec/internal/isa"
 	"singlespec/internal/isa/isatest"
 	"singlespec/internal/kernels"
@@ -253,20 +254,141 @@ func TestPipelineCacheAndBranchStatsPlausible(t *testing.T) {
 	}
 }
 
+// mixProgram assembles one kernel of the expt.Mix(1) benchmark mix and
+// returns its expected checksum.
+func mixProgram(tb testing.TB, isaName string, me expt.MixEntry) (*isa.ISA, *asm.Program, uint32) {
+	tb.Helper()
+	i := isatest.Load(tb, isaName)
+	k := kernels.ByName(me.Kernel)
+	prog, err := kernels.BuildProgram(i, k.Build(me.N))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return i, prog, k.Ref(me.N)
+}
+
 func TestTraceDrivenMatchesFunctionalFirst(t *testing.T) {
-	// The serialized-and-replayed stream must produce exactly the cycles
-	// the live stream produces.
-	i, prog, want := kernelProgram(t, "arm32", "crc32")
-	live, err := RunFunctionalFirst(i, prog, 10_000_000)
+	// The serialized-and-replayed stream must drive the timing model
+	// exactly as the live stream does: same instructions, same statistics.
+	for _, name := range isa.Names() {
+		for _, me := range expt.Mix(1) {
+			t.Run(name+"/"+me.Kernel, func(t *testing.T) {
+				i, prog, want := mixProgram(t, name, me)
+				live, err := RunFunctionalFirst(i, prog, 10_000_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				traced, err := RunTraceDriven(i, prog, 10_000_000)
+				check(t, traced, err, prog, want)
+				if traced.Instrs != live.Instrs || traced.Pipeline != live.Pipeline {
+					t.Errorf("trace replay diverged: %d instrs %+v, live %d instrs %+v",
+						traced.Instrs, traced.Pipeline, live.Instrs, live.Pipeline)
+				}
+			})
+		}
+	}
+}
+
+// TestTraceDrivenSpoolSegments runs the trace-driven organization over a
+// program many spool segments long, with budgets that stop it mid-segment,
+// exactly on a segment boundary, and at the program's own end: each must
+// replay exactly the stream the live functional-first organization sees.
+func TestTraceDrivenSpoolSegments(t *testing.T) {
+	i, prog, _ := kernelProgram(t, "ppc32", "sieve")
+	full, err := RunFunctionalFirst(i, prog, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := RunTraceDriven(i, prog, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
+	if full.Instrs < 8*spoolRecords {
+		t.Fatalf("program retires %d instructions, want several %d-record segments", full.Instrs, spoolRecords)
 	}
-	check(t, traced, nil, prog, want)
-	if traced.Cycles != live.Cycles || traced.Pipeline.Mispredicts != live.Pipeline.Mispredicts {
-		t.Errorf("trace replay diverged: cycles %d vs %d", traced.Cycles, live.Cycles)
+	for _, budget := range []uint64{
+		3*spoolRecords + spoolRecords/2, // mid-segment
+		4 * spoolRecords,                // on a segment boundary
+		spoolRecords - 1,                // inside the first segment
+		10_000_000,                      // the program halts
+	} {
+		live, err := RunFunctionalFirst(i, prog, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced, err := RunTraceDriven(i, prog, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(budget, full.Instrs); traced.Instrs != want {
+			t.Errorf("budget %d: retired %d instructions, want %d", budget, traced.Instrs, want)
+		}
+		if traced.Instrs != live.Instrs || traced.Pipeline != live.Pipeline || traced.Halted != live.Halted {
+			t.Errorf("budget %d: trace replay %d instrs %+v halted=%v, live %d instrs %+v halted=%v", budget,
+				traced.Instrs, traced.Pipeline, traced.Halted, live.Instrs, live.Pipeline, live.Halted)
+		}
 	}
+}
+
+// TestTimingFirstAllocsIndependentOfLength checks that the timing-first
+// checker compares and repairs state in place: a run twenty times longer
+// allocates no more than a short one (all its allocations are set-up).
+func TestTimingFirstAllocsIndependentOfLength(t *testing.T) {
+	allocs := func(n int) (float64, uint64) {
+		i, prog, _ := mixProgram(t, "arm32", expt.MixEntry{Kernel: "fib_iter", N: n})
+		var instrs uint64
+		a := testing.AllocsPerRun(2, func() {
+			r, err := RunTimingFirst(i, prog, 10_000_000, nil)
+			if err != nil || !r.Halted {
+				t.Fatalf("run failed: %v", err)
+			}
+			instrs = r.Instrs
+		})
+		return a, instrs
+	}
+	shortAllocs, shortInstrs := allocs(1000)
+	longAllocs, longInstrs := allocs(20000)
+	if longInstrs < 10*shortInstrs {
+		t.Fatalf("problem sizes retire %d and %d instructions; want a 10x spread", shortInstrs, longInstrs)
+	}
+	if longAllocs > shortAllocs {
+		t.Errorf("timing-first allocations grow with length: %.0f for %d instructions, %.0f for %d",
+			shortAllocs, shortInstrs, longAllocs, longInstrs)
+	}
+}
+
+// benchOrg reports an organization's cost per simulated instruction over
+// the crc32 kernel of the expt.Mix(1) mix, set-up included, on alpha64.
+func benchOrg(b *testing.B, run func(i *isa.ISA, prog *asm.Program) (*Result, error)) {
+	var me expt.MixEntry
+	for _, e := range expt.Mix(1) {
+		if e.Kernel == "crc32" {
+			me = e
+		}
+	}
+	i, prog, _ := mixProgram(b, "alpha64", me)
+	var instrs uint64
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		r, err := run(i, prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs += r.Instrs
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+}
+
+func BenchmarkOrgTimingFirst(b *testing.B) {
+	benchOrg(b, func(i *isa.ISA, prog *asm.Program) (*Result, error) {
+		return RunTimingFirst(i, prog, 10_000_000, nil)
+	})
+}
+
+func BenchmarkOrgTraceDriven(b *testing.B) {
+	benchOrg(b, func(i *isa.ISA, prog *asm.Program) (*Result, error) {
+		return RunTraceDriven(i, prog, 10_000_000)
+	})
+}
+
+func BenchmarkOrgTimingDirected(b *testing.B) {
+	benchOrg(b, func(i *isa.ISA, prog *asm.Program) (*Result, error) {
+		return RunTimingDirected(i, prog, 10_000_000)
+	})
 }

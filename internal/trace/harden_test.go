@@ -152,3 +152,47 @@ func FuzzTraceReader(f *testing.F) {
 		}
 	})
 }
+
+// TestTruncationAtEveryRecordOffset cuts a stream at every byte offset of
+// its second record and checks the error names that record and the part
+// of it the cut fell in. A cut at offset 0 is a clean end of stream.
+func TestTruncationAtEveryRecordOffset(t *testing.T) {
+	fields := []string{"aa", "bb", "cc"}
+	headerLen := len(stream(fields, 0))
+	recLen := recordHeader + 8*len(fields)
+	full := stream(fields, 2)
+	table := []struct {
+		from, to int // cut offsets within record 1, inclusive
+		want     string
+	}{
+		{1, 31, "record 1 truncated mid-header"},
+		{32, 39, "record 1 truncated in value 0/3"},
+		{40, 47, "record 1 truncated in value 1/3"},
+		{48, 55, "record 1 truncated in value 2/3"},
+	}
+	if table[len(table)-1].to != recLen-1 {
+		t.Fatalf("table covers offsets up to %d, record is %d bytes", table[len(table)-1].to, recLen)
+	}
+	read := func(cut int) error {
+		r, err := NewReader(bytes.NewReader(full[:headerLen+recLen+cut]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec core.Record
+		if err := r.Read(&rec); err != nil {
+			t.Fatalf("cut %d: intact record 0: %v", cut, err)
+		}
+		return r.Read(&rec)
+	}
+	if err := read(0); err != io.EOF {
+		t.Errorf("cut at record boundary: want io.EOF, got %v", err)
+	}
+	for _, row := range table {
+		for cut := row.from; cut <= row.to; cut++ {
+			err := read(cut)
+			if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), row.want) {
+				t.Errorf("cut %d: got %v, want ErrUnexpectedEOF naming %q", cut, err, row.want)
+			}
+		}
+	}
+}

@@ -17,10 +17,16 @@ import (
 
 const magic = 0x53535452 // "SSTR"
 
+// recordHeader is the fixed part of an encoded record: PC, PhysPC and
+// NextPC (8 bytes each), InstrBits (4), InstrID (2), Fault (1) and
+// Nullified (1). The record's values follow, 8 bytes each.
+const recordHeader = 32
+
 // Writer streams records.
 type Writer struct {
 	w     *bufio.Writer
 	nVals int
+	rec   []byte // one encoded record, reused by every Write
 }
 
 // NewWriter writes a stream header for the given interface layout.
@@ -41,35 +47,32 @@ func NewWriter(w io.Writer, layout *core.Layout) (*Writer, error) {
 			return nil, err
 		}
 	}
-	return &Writer{w: bw, nVals: len(names)}, nil
+	return &Writer{w: bw, nVals: len(names), rec: make([]byte, recordHeader+8*len(names))}, nil
 }
 
-// Write appends one record.
+// Write appends one record. A record whose value count differs from the
+// stream header's is rejected before any of it is written, so the stream
+// stays well formed.
 func (t *Writer) Write(rec *core.Record) error {
-	var hdr [32]byte
-	binary.LittleEndian.PutUint64(hdr[0:], rec.PC)
-	binary.LittleEndian.PutUint64(hdr[8:], rec.PhysPC)
-	binary.LittleEndian.PutUint64(hdr[16:], rec.NextPC)
-	binary.LittleEndian.PutUint32(hdr[24:], rec.InstrBits)
-	binary.LittleEndian.PutUint16(hdr[28:], rec.InstrID)
-	hdr[30] = byte(rec.Fault)
-	if rec.Nullified {
-		hdr[31] = 1
-	}
-	if _, err := t.w.Write(hdr[:]); err != nil {
-		return err
-	}
 	if len(rec.Vals) != t.nVals {
 		return fmt.Errorf("trace: record has %d values, stream header declared %d", len(rec.Vals), t.nVals)
 	}
-	var buf [8]byte
-	for _, v := range rec.Vals {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		if _, err := t.w.Write(buf[:]); err != nil {
-			return err
-		}
+	b := t.rec
+	binary.LittleEndian.PutUint64(b[0:], rec.PC)
+	binary.LittleEndian.PutUint64(b[8:], rec.PhysPC)
+	binary.LittleEndian.PutUint64(b[16:], rec.NextPC)
+	binary.LittleEndian.PutUint32(b[24:], rec.InstrBits)
+	binary.LittleEndian.PutUint16(b[28:], rec.InstrID)
+	b[30] = byte(rec.Fault)
+	b[31] = 0
+	if rec.Nullified {
+		b[31] = 1
 	}
-	return nil
+	for i, v := range rec.Vals {
+		binary.LittleEndian.PutUint64(b[recordHeader+8*i:], v)
+	}
+	_, err := t.w.Write(b)
+	return err
 }
 
 // Flush flushes buffered output.
@@ -79,6 +82,7 @@ func (t *Writer) Flush() error { return t.w.Flush() }
 type Reader struct {
 	r      *bufio.Reader
 	Fields []string
+	rec    []byte // one encoded record, reused by every Read
 	// recs counts records successfully returned by Read; truncation errors
 	// report it so the caller knows where a damaged stream broke off.
 	recs uint64
@@ -145,6 +149,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 		}
 		rd.Fields = append(rd.Fields, string(name))
 	}
+	rd.rec = make([]byte, recordHeader+8*len(rd.Fields))
 	return rd, nil
 }
 
@@ -174,32 +179,32 @@ func (r *Reader) Slot(name string) (int, bool) {
 // through a record returns an error wrapping io.ErrUnexpectedEOF that names
 // the index of the truncated record.
 func (r *Reader) Read(rec *core.Record) error {
-	var hdr [32]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.EOF {
+	b := r.rec
+	if n, err := io.ReadFull(r.r, b); err != nil {
+		switch {
+		case n == 0 && err == io.EOF:
 			return io.EOF // clean record boundary
+		case n < recordHeader:
+			return fmt.Errorf("trace: record %d truncated mid-header: %w", r.recs, err)
+		default:
+			return fmt.Errorf("trace: record %d truncated in value %d/%d: %w",
+				r.recs, (n-recordHeader)/8, len(r.Fields), noEOF(err))
 		}
-		return fmt.Errorf("trace: record %d truncated mid-header: %w", r.recs, err)
 	}
-	rec.PC = binary.LittleEndian.Uint64(hdr[0:])
-	rec.PhysPC = binary.LittleEndian.Uint64(hdr[8:])
-	rec.NextPC = binary.LittleEndian.Uint64(hdr[16:])
-	rec.InstrBits = binary.LittleEndian.Uint32(hdr[24:])
-	rec.InstrID = binary.LittleEndian.Uint16(hdr[28:])
-	rec.Fault = mach.Fault(hdr[30])
-	rec.Nullified = hdr[31] != 0
+	rec.PC = binary.LittleEndian.Uint64(b[0:])
+	rec.PhysPC = binary.LittleEndian.Uint64(b[8:])
+	rec.NextPC = binary.LittleEndian.Uint64(b[16:])
+	rec.InstrBits = binary.LittleEndian.Uint32(b[24:])
+	rec.InstrID = binary.LittleEndian.Uint16(b[28:])
+	rec.Fault = mach.Fault(b[30])
+	rec.Nullified = b[31] != 0
 	if cap(rec.Vals) < len(r.Fields) {
 		rec.Vals = make([]uint64, len(r.Fields))
 	} else {
 		rec.Vals = rec.Vals[:len(r.Fields)]
 	}
-	var buf [8]byte
 	for i := range rec.Vals {
-		if _, err := io.ReadFull(r.r, buf[:]); err != nil {
-			return fmt.Errorf("trace: record %d truncated in value %d/%d: %w",
-				r.recs, i, len(rec.Vals), noEOF(err))
-		}
-		rec.Vals[i] = binary.LittleEndian.Uint64(buf[:])
+		rec.Vals[i] = binary.LittleEndian.Uint64(b[recordHeader+8*i:])
 	}
 	r.recs++
 	return nil
